@@ -1,15 +1,26 @@
 """Finite-dimensional operator algebras realized as direct sums of matrix blocks.
 
 An algebra is a list of block dimensions ``(n_1, ..., n_k)``; its elements are
-block-diagonal complex matrices stored block by block.  A classical algebra is
-one whose blocks are all 1x1, so its elements are diagonal and its states are
-probability vectors.  Tensor products of algebras are again block algebras,
-with one block per tuple of factor blocks, ordered lexicographically.
+block-diagonal complex matrices.  A classical algebra is one whose blocks are
+all 1x1, so its elements are diagonal and its states are probability vectors.
+Tensor products of algebras are again block algebras, with one block per
+tuple of factor blocks, ordered lexicographically.
 
 Coordinates: every element has a vector of coefficients in the orthonormal
 trace-inner-product basis of matrix units, ordered (block, row, column) with
 blocks ascending and entries row-major inside each block.  All superoperator
 matrices in this package are written in that basis.
+
+Storage: an element *is* its coefficient vector, one read-only flat complex
+array; ``to_hs`` returns it and ``blocks`` are read-only ``(n, n)`` views into
+it, built on first use.  Kernels never loop over blocks in Python.  Blocks of
+equal size form a size class (:attr:`AlgebraShape.size_classes`), which one
+fancy index gathers into an ``(count, n, n)`` stack; on a tensor product the
+class of a block is the tuple of its factors' block sizes.  Elementwise
+arithmetic works on the whole vector, and ``spectrum``, ``partial_trace`` and
+the bloom step do one gather, one contraction and one scatter per class, with
+the index arrays cached per shape or per factor tuple.  Classical algebras and
+single-block algebras have a single class, whose gather is a plain reshape.
 """
 
 from __future__ import annotations
@@ -17,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -59,9 +70,39 @@ def as_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _block_entries(starts: np.ndarray, size: int) -> np.ndarray | slice:
+    """Coefficient index of the blocks starting at ``starts``, each ``size`` entries long.
+
+    A slice when the blocks are consecutive in the vector (indexing is then a
+    view), otherwise a flat index array, blocks in the order of ``starts``.
+    """
+    starts = np.asarray(starts).reshape(-1)
+    first = int(starts[0])
+    if np.array_equal(starts, first + size * np.arange(starts.size)):
+        return slice(first, first + size * starts.size)
+    return _read_only((starts[:, None] + np.arange(size)).reshape(-1))
+
+
+def _mixed_radix(terms: Sequence[np.ndarray]) -> np.ndarray:
+    """All sums ``t_1[i_1] + ... + t_k[i_k]``, lexicographic in (i_1, ..., i_k)."""
+    acc = np.zeros(1, dtype=np.intp)
+    for t in terms:
+        acc = np.add.outer(acc, t).reshape(-1)
+    return acc
+
+
 @dataclass(frozen=True)
 class AlgebraShape:
-    """Block dimensions ``(n_1, ..., n_k)`` of a direct sum of matrix algebras."""
+    """Block dimensions ``(n_1, ..., n_k)`` of a direct sum of matrix algebras.
+
+    Everything derived from the block list (offsets, size classes, index
+    vectors) is computed on first use and kept on the instance.
+    """
 
     blocks: tuple[int, ...]
 
@@ -69,7 +110,7 @@ class AlgebraShape:
         blocks = tuple(int(n) for n in blocks)
         if not blocks:
             raise ValueError("an algebra needs at least one block")
-        if any(n < 1 for n in blocks):
+        if min(blocks) < 1:
             raise ValueError(f"block dimensions must be >= 1, got {blocks}")
         object.__setattr__(self, "blocks", blocks)
 
@@ -77,33 +118,69 @@ class AlgebraShape:
     def num_blocks(self) -> int:
         return len(self.blocks)
 
-    @property
+    @cached_property
     def total_dim(self) -> int:
         """Dimension of the algebra as a complex vector space (sum of n_i^2)."""
-        return sum(n * n for n in self.blocks)
+        return int(self._offsets[-1])
 
-    @property
+    @cached_property
     def hilbert_dim(self) -> int:
         """Dimension of the Hilbert space the algebra acts on (sum of n_i)."""
         return sum(self.blocks)
 
-    @property
+    @cached_property
     def is_classical(self) -> bool:
         """True when every block is 1x1 (commutative, diagonal algebra)."""
-        return all(n == 1 for n in self.blocks)
+        return max(self.blocks) == 1
 
     @property
     def is_matrix_algebra(self) -> bool:
         return len(self.blocks) == 1
 
-    @property
+    @cached_property
+    def _offsets(self) -> np.ndarray:
+        """Start of each block in the coefficient vector, then the total length."""
+        sizes = np.asarray(self.blocks, dtype=np.intp)
+        offs = np.zeros(sizes.size + 1, dtype=np.intp)
+        np.cumsum(sizes * sizes, out=offs[1:])
+        return _read_only(offs)
+
+    @cached_property
     def hs_offsets(self) -> tuple[int, ...]:
         """Start offset of each block in the coefficient vector."""
-        offs, acc = [], 0
-        for n in self.blocks:
-            offs.append(acc)
-            acc += n * n
-        return tuple(offs)
+        return tuple(self._offsets[:-1].tolist())
+
+    @cached_property
+    def size_classes(self) -> tuple[tuple[int, np.ndarray, slice | np.ndarray], ...]:
+        """``(n, block indices, coefficient index)`` per distinct block size n, ascending.
+
+        ``vec[index].reshape(-1, n, n)`` stacks the size-n blocks of a
+        coefficient vector in block order.
+        """
+        sizes = np.asarray(self.blocks, dtype=np.intp)
+        out = []
+        for n in np.unique(sizes).tolist():
+            idx = _read_only(np.flatnonzero(sizes == n))
+            out.append((n, idx, _block_entries(self._offsets[idx], n * n)))
+        return tuple(out)
+
+    @cached_property
+    def _diagonal(self) -> np.ndarray:
+        """Ascending positions of the diagonal matrix units in the coefficient vector."""
+        parts = [
+            (self._offsets[idx][:, None] + np.arange(n) * (n + 1)).reshape(-1)
+            for n, idx, _ in self.size_classes
+        ]
+        return _read_only(np.sort(np.concatenate(parts)))
+
+    @cached_property
+    def _dagger(self) -> np.ndarray:
+        perm = np.empty(self.total_dim, dtype=np.intp)
+        for n, idx, _ in self.size_classes:
+            starts = self._offsets[idx][:, None]
+            transposed = np.arange(n * n).reshape(n, n).T.reshape(-1)
+            perm[(starts + np.arange(n * n)).reshape(-1)] = (starts + transposed).reshape(-1)
+        return _read_only(perm)
 
     def hs_slice(self, block: int) -> slice:
         off = self.hs_offsets[block]
@@ -115,18 +192,13 @@ class AlgebraShape:
         return self.hs_offsets[block] + row * n + col
 
     def dagger_permutation(self) -> np.ndarray:
-        """Index permutation sending the coefficient of E_ij to that of E_ji."""
-        parts = []
-        for off, n in zip(self.hs_offsets, self.blocks):
-            idx = off + np.arange(n * n).reshape(n, n).T.reshape(-1)
-            parts.append(idx)
-        return np.concatenate(parts)
+        """Index permutation sending the coefficient of E_ij to that of E_ji (read-only)."""
+        return self._dagger
 
     def trace_vector(self) -> np.ndarray:
         """Coefficient vector of the trace functional (1 on diagonal units)."""
         vec = np.zeros(self.total_dim)
-        for off, n in zip(self.hs_offsets, self.blocks):
-            vec[off + np.arange(n) * (n + 1)] = 1.0
+        vec[self._diagonal] = 1.0
         return vec
 
     def __repr__(self) -> str:
@@ -135,51 +207,74 @@ class AlgebraShape:
 
 def tensor_shape(a: AlgebraShape, b: AlgebraShape) -> AlgebraShape:
     """Shape of the tensor product: blocks n_i * m_j in lexicographic (i, j) order."""
-    return AlgebraShape(n * m for n in a.blocks for m in b.blocks)
+    return product_shape((a, b))
 
 
 def product_shape(factors: Sequence[AlgebraShape]) -> AlgebraShape:
+    """Shape of the tensor product of the factors; one shared instance per factor tuple."""
+    return _product_shape(tuple(factors))
+
+
+@lru_cache(maxsize=256)
+def _product_shape(factors: tuple[AlgebraShape, ...]) -> AlgebraShape:
     if not factors:
         raise ValueError("empty factor list")
-    return reduce(tensor_shape, factors)
+    if len(factors) == 1:
+        return factors[0]
+    sizes = np.ones(1, dtype=np.int64)
+    for f in factors:
+        sizes = np.multiply.outer(sizes, f.blocks).reshape(-1)
+    return AlgebraShape(sizes.tolist())
 
 
+@lru_cache(maxsize=64)
 def hs_kron_permutation(a: AlgebraShape, b: AlgebraShape) -> np.ndarray:
     """Permutation p with coeffs_product(x (x) y) = kron(coeffs(x), coeffs(y))[p].
 
     Documents the fixed basis convention of tensor products: the coefficient
     vector of the product algebra is a reshuffle of the Kronecker product of
-    the factor coefficient vectors.
+    the factor coefficient vectors.  The result is cached and read-only.
     """
     tb = b.total_dim
-    offs_a, offs_b = a.hs_offsets, b.hs_offsets
-    perm = np.empty(tensor_shape(a, b).total_dim, dtype=np.intp)
-    pos = 0
-    for i, n in enumerate(a.blocks):
-        for j, m in enumerate(b.blocks):
-            r1, r2, c1, c2 = np.ix_(
-                np.arange(n), np.arange(m), np.arange(n), np.arange(m)
-            )
-            kron_idx = (offs_a[i] + r1 * n + c1) * tb + (offs_b[j] + r2 * m + c2)
-            perm[pos : pos + (n * m) ** 2] = kron_idx.reshape(-1)
-            pos += (n * m) ** 2
-    return perm
+    prod = tensor_shape(a, b)
+    perm = np.empty(prod.total_dim, dtype=np.intp)
+    for n, ia, _ in a.size_classes:
+        for m, ib, _ in b.size_classes:
+            # axes (i, j, r1, r2, c1, c2): block pair, then product-block entry
+            # (r1 r2, c1 c2) row-major
+            i = ia[:, None, None, None, None, None]
+            j = ib[None, :, None, None, None, None]
+            r1 = np.arange(n)[:, None, None, None]
+            r2 = np.arange(m)[:, None, None]
+            c1 = np.arange(n)[:, None]
+            c2 = np.arange(m)
+            pos = prod._offsets[i * b.num_blocks + j] + (r1 * m + r2) * (n * m) + c1 * m + c2
+            kron = (a._offsets[i] + r1 * n + c1) * tb + (b._offsets[j] + r2 * m + c2)
+            perm[pos.reshape(-1)] = kron.reshape(-1)
+    return _read_only(perm)
 
 
 class AlgebraElement:
     """Block-diagonal complex matrix over an :class:`AlgebraShape`.
 
-    Immutable value; all arithmetic returns new elements.
+    Immutable value; all arithmetic returns new elements.  The data is the
+    read-only coefficient vector (see the module docstring).
     """
 
-    __slots__ = ("shape", "blocks")
+    __slots__ = ("shape", "_vec", "_blocks")
 
     def __init__(self, shape: AlgebraShape, blocks: Sequence[np.ndarray], *, _trust: bool = False):
+        """Copy one ``(n, n)`` array per block of ``shape`` into a new element.
+
+        With ``_trust`` (internal), ``blocks`` is instead a freshly computed,
+        read-only coefficient vector of the right length, adopted as is.
+        """
+        self.shape = shape
+        self._blocks = None
         if _trust:
-            self.shape = shape
-            self.blocks = blocks
+            self._vec = blocks
             return
-        blocks = tuple(np.asarray(b, dtype=complex) for b in blocks)
+        blocks = [np.asarray(b, dtype=complex) for b in blocks]
         if len(blocks) != shape.num_blocks:
             raise ValueError(
                 f"expected {shape.num_blocks} blocks, got {len(blocks)}"
@@ -187,21 +282,34 @@ class AlgebraElement:
         for n, blk in zip(shape.blocks, blocks):
             if blk.shape != (n, n):
                 raise ValueError(f"block of size {blk.shape} does not match {n}x{n}")
-        blocks = tuple(b.copy() for b in blocks)
-        for b in blocks:
-            b.setflags(write=False)
-        self.shape = shape
-        self.blocks = blocks
+        self._vec = _read_only(np.concatenate([b.reshape(-1) for b in blocks]))
+
+    @property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        """The blocks, as read-only ``(n, n)`` views of the coefficient vector."""
+        if self._blocks is None:
+            vec = self._vec
+            self._blocks = tuple(
+                vec[off : off + n * n].reshape(n, n)
+                for off, n in zip(self.shape.hs_offsets, self.shape.blocks)
+            )
+        return self._blocks
 
     def block(self, i: int) -> np.ndarray:
         return self.blocks[i]
 
+    def _stacks(self) -> Iterator[tuple[int, slice | np.ndarray, np.ndarray]]:
+        """``(n, coefficient index, (count, n, n) stack)`` per size class."""
+        for n, _, index in self.shape.size_classes:
+            yield n, index, self._vec[index].reshape(-1, n, n)
+
     def _binary(self, other: "AlgebraElement", op) -> "AlgebraElement":
+        """Combine the coefficient vectors of two elements of the same shape."""
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         if other.shape != self.shape:
             raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-        return AlgebraElement(self.shape, [op(a, b) for a, b in zip(self.blocks, other.blocks)])
+        return _element(self.shape, op(self._vec, other._vec))
 
     def __add__(self, other):
         return self._binary(other, np.add)
@@ -210,12 +318,12 @@ class AlgebraElement:
         return self._binary(other, np.subtract)
 
     def __neg__(self):
-        return AlgebraElement(self.shape, [-b for b in self.blocks])
+        return _element(self.shape, -self._vec)
 
     def __mul__(self, scalar):
         if isinstance(scalar, AlgebraElement):
             raise TypeError("use @ for the blockwise operator product")
-        return AlgebraElement(self.shape, [scalar * b for b in self.blocks])
+        return _element(self.shape, scalar * self._vec)
 
     __rmul__ = __mul__
 
@@ -224,28 +332,34 @@ class AlgebraElement:
 
     def __matmul__(self, other):
         """Blockwise operator product."""
-        return self._binary(other, np.matmul)
+
+        def blockwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+            out = np.empty_like(a)
+            for n, _, index in self.shape.size_classes:
+                out[index] = np.matmul(a[index].reshape(-1, n, n), b[index].reshape(-1, n, n)).reshape(-1)
+            return out
+
+        return self._binary(other, blockwise)
 
     def dagger(self) -> "AlgebraElement":
-        return AlgebraElement(self.shape, [b.conj().T for b in self.blocks])
+        out = self._vec[self.shape._dagger]
+        return _element(self.shape, np.conjugate(out, out=out))
 
     def trace(self) -> complex:
-        return complex(sum(np.trace(b) for b in self.blocks))
+        return complex(self._vec[self.shape._diagonal].sum())
 
     def hs_inner(self, other: "AlgebraElement") -> complex:
         """Trace inner product tr(self^dag other); conjugate-linear in self."""
         if other.shape != self.shape:
             raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-        return complex(
-            sum(np.vdot(a, b) for a, b in zip(self.blocks, other.blocks))
-        )
+        return complex(np.vdot(self._vec, other._vec))
 
     def hs_norm(self) -> float:
         return math.sqrt(max(self.hs_inner(self).real, 0.0))
 
     def to_hs(self) -> np.ndarray:
-        """Coefficient vector in the matrix-unit basis (block, row-major)."""
-        return np.concatenate([b.reshape(-1) for b in self.blocks])
+        """Coefficient vector in the matrix-unit basis (block, row-major); read-only, not a copy."""
+        return self._vec
 
     def to_dense(self) -> np.ndarray:
         """Full block-diagonal matrix on the algebra's Hilbert space."""
@@ -259,7 +373,11 @@ class AlgebraElement:
         return out
 
     def hermiticity_deviation(self) -> float:
-        return max(float(np.abs(b - b.conj().T).max()) for b in self.blocks)
+        """Largest entry of |A - A^dag|; NaN if any coefficient is NaN."""
+        # np.max propagates NaN, where Python's max(acc, nan) would keep acc
+        return float(np.max([
+            np.abs(stack - stack.conj().swapaxes(1, 2)).max() for _, _, stack in self._stacks()
+        ]))
 
     def is_self_adjoint(self, tol: float = DEFAULT_ATOL) -> bool:
         return self.hermiticity_deviation() <= tol
@@ -275,43 +393,46 @@ class AlgebraElement:
 
     def is_unitary(self, tol: float = DEFAULT_ATOL) -> bool:
         return all(
-            np.abs(b.conj().T @ b - np.eye(b.shape[0])).max() <= tol
-            for b in self.blocks
+            np.abs(stack.conj().swapaxes(1, 2) @ stack - np.eye(n)).max() <= tol
+            for n, _, stack in self._stacks()
         )
 
     def __repr__(self) -> str:
         return f"AlgebraElement(shape={list(self.shape.blocks)}, trace={self.trace():.4g})"
 
 
+def _element(shape: AlgebraShape, vec: np.ndarray) -> AlgebraElement:
+    """Adopt a freshly computed coefficient vector, without validation or copy."""
+    return AlgebraElement(shape, _read_only(vec), _trust=True)
+
+
 def from_hs(shape: AlgebraShape, vec: np.ndarray) -> AlgebraElement:
-    """Inverse of :meth:`AlgebraElement.to_hs`."""
-    vec = np.asarray(vec, dtype=complex).reshape(-1)
+    """Inverse of :meth:`AlgebraElement.to_hs`; copies ``vec``."""
+    vec = np.array(vec, dtype=complex).reshape(-1)
     if vec.size != shape.total_dim:
         raise ValueError(f"vector of length {vec.size} does not match {shape}")
-    blocks = [vec[shape.hs_slice(b)].reshape(n, n) for b, n in enumerate(shape.blocks)]
-    return AlgebraElement(shape, blocks)
+    return _element(shape, vec)
 
 
 def zero_element(shape: AlgebraShape) -> AlgebraElement:
-    return AlgebraElement(shape, [np.zeros((n, n), dtype=complex) for n in shape.blocks])
+    return _element(shape, np.zeros(shape.total_dim, dtype=complex))
 
 
 def identity_element(shape: AlgebraShape) -> AlgebraElement:
-    return AlgebraElement(shape, [np.eye(n, dtype=complex) for n in shape.blocks])
+    return from_hs(shape, shape.trace_vector())
 
 
 def basis_element(shape: AlgebraShape, index: int) -> AlgebraElement:
     """The index-th matrix unit in the fixed coordinate order."""
-    vec = np.zeros(shape.total_dim)
+    vec = np.zeros(shape.total_dim, dtype=complex)
     vec[index] = 1.0
-    return from_hs(shape, vec)
+    return _element(shape, vec)
 
 
 def classical_state(probabilities: Sequence[float]) -> AlgebraElement:
     """Probability vector as a state on the classical algebra with one block per outcome."""
-    p = np.asarray(probabilities, dtype=float)
-    shape = AlgebraShape([1] * p.size)
-    return AlgebraElement(shape, [np.array([[v]], dtype=complex) for v in p])
+    p = np.asarray(probabilities, dtype=float).reshape(-1)
+    return from_hs(AlgebraShape([1] * p.size), p)
 
 
 def delta_state(shape: AlgebraShape, outcome: int) -> AlgebraElement:
@@ -324,16 +445,17 @@ def delta_state(shape: AlgebraShape, outcome: int) -> AlgebraElement:
 def spectrum(a: AlgebraElement, tol: float = DEFAULT_ATOL) -> np.ndarray:
     """Ascending eigenvalues of a self-adjoint element, all blocks merged."""
     dev = a.hermiticity_deviation()
-    if dev > tol:
+    if not dev <= tol:
         raise ValueError(f"element is not self-adjoint (deviation {dev:.3g})")
-    vals = np.concatenate([np.linalg.eigvalsh(b) for b in a.blocks])
+    vals = np.concatenate([np.linalg.eigvalsh(stack).reshape(-1) for _, _, stack in a._stacks()])
     return np.sort(vals)
 
 
 def max_abs_diff(a: AlgebraElement, b: AlgebraElement) -> float:
+    """Largest coefficient of |a - b|; NaN if either has a NaN coefficient."""
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return max(float(np.abs(x - y).max()) for x, y in zip(a.blocks, b.blocks))
+    return float(np.abs(a.to_hs() - b.to_hs()).max())
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +581,7 @@ class FactoredElement:
         flat = 0
         for f, b in zip(self.factors, tup):
             flat = flat * f.num_blocks + b
-        return self.element.blocks[flat]
+        return self.element.block(flat)
 
     def trace(self) -> complex:
         return self.element.trace()
@@ -489,17 +611,72 @@ class FactoredElement:
 
 def tensor_elements(x: FactoredElement, y: FactoredElement) -> FactoredElement:
     """Tensor product; blocks are Kronecker products in lexicographic tuple order."""
-    blocks = [
-        np.kron(a, b)
-        for a in x.element.blocks
-        for b in y.element.blocks
-    ]
+    perm = hs_kron_permutation(x.product, y.product)
+    vec = np.kron(x.element.to_hs(), y.element.to_hs())[perm]
     shape = tensor_shape(x.product, y.product)
-    return FactoredElement(x.factors + y.factors, AlgebraElement(shape, blocks))
+    return FactoredElement(x.factors + y.factors, _element(shape, vec))
 
 
 def tensor_many(elements: Sequence[FactoredElement]) -> FactoredElement:
     return reduce(tensor_elements, elements)
+
+
+def _radix_strides(factors: Sequence[AlgebraShape]) -> list[int]:
+    """Weight of each factor's block index in the flat index of a product block."""
+    strides, acc = [], 1
+    for f in reversed(factors):
+        strides.append(acc)
+        acc *= f.num_blocks
+    return strides[::-1]
+
+
+@lru_cache(maxsize=256)
+def _trace_plan(
+    factors: tuple[AlgebraShape, ...], keep: tuple[int, ...]
+) -> tuple[tuple[AlgebraShape, ...], AlgebraShape, tuple[tuple[np.ndarray, slice | np.ndarray], ...]]:
+    """Index arrays of :func:`partial_trace`, one (gather, scatter) pair per class.
+
+    For a class (a choice of block size per factor), ``vec[gather]`` has one
+    row per output coefficient it feeds and one column per diagonal entry of
+    the traced legs, over all traced block tuples; summing the columns gives
+    the reduced coefficients, which land at ``scatter`` in the output vector.
+    """
+    kept = tuple(factors[i] for i in keep)
+    traced = [i for i in range(len(factors)) if i not in keep]
+    in_offs = product_shape(factors)._offsets
+    out_shape = product_shape(kept)
+    strides = _radix_strides(factors)
+    out_strides = dict(zip(keep, _radix_strides(kept)))
+    classes = []
+    for members in itertools.product(*[f.size_classes for f in factors]):
+        n = [c[0] for c in members]
+        blocks = [c[1] for c in members]
+        dim = math.prod(n)
+        leg = [math.prod(n[i + 1 :]) for i in range(len(n))]  # weight of a row index
+        dim_kept = math.prod(n[i] for i in keep)
+        leg_kept = {i: math.prod(n[j] for j in keep if j > i) for i in keep}
+
+        blk_kept = _mixed_radix([blocks[i] * strides[i] for i in keep])
+        blk_traced = _mixed_radix([blocks[i] * strides[i] for i in traced])
+        base = in_offs[blk_kept[:, None] + blk_traced[None, :]]
+        rows = _mixed_radix([np.arange(n[i]) * leg[i] * dim for i in keep])
+        cols = _mixed_radix([np.arange(n[i]) * leg[i] for i in keep])
+        entries_kept = np.add.outer(rows, cols).reshape(-1)
+        # a traced leg contributes only where its row and column indices agree
+        entries_traced = _mixed_radix([np.arange(n[i]) * leg[i] * (dim + 1) for i in traced])
+        gather = (
+            base[:, None, :, None]
+            + entries_kept[None, :, None, None]
+            + entries_traced[None, None, None, :]
+        ).reshape(blk_kept.size * entries_kept.size, -1)
+
+        out_blk = _mixed_radix([blocks[i] * out_strides[i] for i in keep])
+        out_rows = _mixed_radix([np.arange(n[i]) * leg_kept[i] * dim_kept for i in keep])
+        out_cols = _mixed_radix([np.arange(n[i]) * leg_kept[i] for i in keep])
+        scatter = np.add.outer(out_shape._offsets[out_blk], np.add.outer(out_rows, out_cols))
+        # each output coefficient is a run of length 1
+        classes.append((_read_only(gather), _block_entries(scatter, 1)))
+    return kept, out_shape, tuple(classes)
 
 
 def partial_trace(x: FactoredElement, keep: Iterable[int]) -> FactoredElement:
@@ -513,28 +690,9 @@ def partial_trace(x: FactoredElement, keep: Iterable[int]) -> FactoredElement:
     if len(keep) == n:
         return x
 
-    kept_factors = [x.factors[i] for i in keep]
-    out_shape = product_shape(kept_factors)
-    out_blocks = [
-        np.zeros((d, d), dtype=complex) for d in out_shape.blocks
-    ]
-    kept_radix = [f.num_blocks for f in kept_factors]
-
-    for _, tup in x.block_tuples():
-        dims = [x.factors[i].blocks[b] for i, b in enumerate(tup)]
-        block = x.tuple_block(tup).reshape(dims + dims)
-        # einsum with integer subscripts: traced legs share an index with
-        # their column partner, kept legs stay free
-        row_idx = list(range(n))
-        col_idx = [i if i not in keep else n + i for i in range(n)]
-        out_idx = [i for i in keep] + [n + i for i in keep]
-        reduced = np.einsum(block, row_idx + col_idx, out_idx)
-        d_kept = int(np.prod([dims[i] for i in keep])) if keep else 1
-        reduced = reduced.reshape(d_kept, d_kept)
-
-        out_flat = 0
-        for r, i in zip(kept_radix, keep):
-            out_flat = out_flat * r + tup[i]
-        out_blocks[out_flat] += reduced
-
-    return FactoredElement(kept_factors, AlgebraElement(out_shape, out_blocks))
+    kept, out_shape, classes = _trace_plan(x.factors, tuple(keep))
+    vec = x.element.to_hs()
+    out = np.zeros(out_shape.total_dim, dtype=complex)
+    for gather, scatter in classes:
+        out[scatter] += vec[gather].sum(axis=1)
+    return FactoredElement(kept, _element(out_shape, out))

@@ -11,7 +11,9 @@ The work happens in :func:`bloom_step`, which attaches one factor to a
 factored element without materializing any operator on the doubled product
 algebra: writing broadcasting as half the anti-commutator with the factor
 swap turns the step into a small tensor contraction against the channel's
-action on matrix units of the last factor.
+action on matrix units of the last factor.  Blocks are batched by size class
+(see :mod:`qsot.algebra`): each class is one gather, two broadcast matrix
+products and one scatter, with the indices cached per factor tuple.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,6 +30,9 @@ from .algebra import (
     AlgebraElement,
     AlgebraShape,
     FactoredElement,
+    _block_entries,
+    _element,
+    _read_only,
     basis_element,
     product_shape,
     tensor_shape,
@@ -49,14 +54,106 @@ __all__ = [
 ]
 
 
-def _unit_action_tensor(
-    e: LinearOperatorMap, src_block: int, tgt_block: int
-) -> np.ndarray:
-    """T[b, a, r, c] = (e applied to the unit E_ba of src_block)[r, c] in tgt_block."""
-    d = e.source.blocks[src_block]
-    m = e.target.blocks[tgt_block]
-    sub = e.matrix[e.target.hs_slice(tgt_block), e.source.hs_slice(src_block)]
-    return sub.reshape(m, m, d, d).transpose(2, 3, 0, 1)
+class _StepClass(NamedTuple):
+    """Index ranges and shapes of one class of a bloom step (see :func:`_step_plan`).
+
+    The two products run over the batch axes (h, b, t, C, x, r), legs of
+    size 1 dropped; the first multiplies X[h, b, C, x, D, y] by u[b, t, w, y,
+    r, z] over y into (h, b, t, C, x, r, D, wz), the second X[h, b, C, y, D,
+    w] by u[b, t, y, x, r, z] over y into (h, b, t, C, xr, Dw, z), the same
+    memory layout.
+    """
+
+    x_index: slice | np.ndarray  # input coefficients, axes (h, b, C, x, D, y)
+    x_shape: tuple[int, ...]
+    a1_shape: tuple[int, ...]
+    a2_shape: tuple[int, ...]
+    u1: slice  # range of the gathered map entries, axes (b, t, r, y, w, z)
+    u1_shape: tuple[int, ...]
+    u2: slice  # axes (b, t, x, r, y, z)
+    u2_shape: tuple[int, ...]
+    out_index: slice | np.ndarray  # output coefficients, axes (h, b, t, C, x, r, D, w, z)
+    out_shape: tuple[int, ...]
+
+
+class _StepPlan(NamedTuple):
+    factors: tuple[AlgebraShape, ...]
+    shape: AlgebraShape
+    u_rows: np.ndarray  # the map matrix entries every class needs, in one gather
+    u_cols: np.ndarray
+    classes: tuple[_StepClass, ...]
+
+
+def _batch(size: dict[str, int], axes: str, present: str) -> tuple[int, ...]:
+    """Operand shape over the batch ``axes`` of a broadcast product.
+
+    Axes in ``present`` keep their size, the others are 1; axes of size 1 in
+    every operand are dropped.
+    """
+    return tuple(size[a] if a in present else 1 for a in axes if size[a] > 1)
+
+
+def _unit_action_index(
+    source: AlgebraShape, target: AlgebraShape, srcs: np.ndarray, tgts: np.ndarray, order: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flat row and column indices into a map's matrix, over the axes in ``order``.
+
+    The entry at (b, t, w, y, r, z) is (r, z) of the map applied to the unit
+    E_wy of source block srcs[b], in target block tgts[t]; ``order`` is a
+    permutation of "btwyrz", and the indices run over it lexicographically.
+    """
+    d, m = source.blocks[srcs[0]], target.blocks[tgts[0]]
+    sizes = dict(b=srcs.size, t=tgts.size, w=d, y=d, r=m, z=m)
+    ax = dict(zip(order, np.ix_(*[np.arange(sizes[c]) for c in order])))
+    rows = target._offsets[tgts][ax["t"]] + ax["r"] * m + ax["z"]
+    cols = source._offsets[srcs][ax["b"]] + ax["w"] * d + ax["y"]
+    full = tuple(sizes[c] for c in order)
+    return np.broadcast_to(rows, full).reshape(-1), np.broadcast_to(cols, full).reshape(-1)
+
+
+@lru_cache(maxsize=256)
+def _step_plan(factors: tuple[AlgebraShape, ...], target: AlgebraShape) -> _StepPlan:
+    """Gather/scatter indices of :func:`bloom_step`, one entry per class.
+
+    A class fixes the block size Dh of the head (all factors but the last),
+    d of the last factor and m of the target.  Its h head blocks and b
+    source blocks give an (h, b) grid of input blocks, and with its t target
+    blocks an (h, b, t) grid of output blocks.
+    """
+    source = factors[-1]
+    head = product_shape(factors[:-1]) if len(factors) > 1 else AlgebraShape([1])
+    in_shape = product_shape(factors)
+    out_factors = factors + (target,)
+    out_shape = product_shape(out_factors)
+    classes, u_parts = [], []
+
+    def u_range(srcs: np.ndarray, tgts: np.ndarray, order: str) -> slice:
+        start = sum(rows.size for rows, _ in u_parts)
+        u_parts.append(_unit_action_index(source, target, srcs, tgts, order))
+        return slice(start, start + u_parts[-1][0].size)
+
+    for dh, heads, _ in head.size_classes:
+        for d, srcs, _ in source.size_classes:
+            in_blk = heads[:, None] * source.num_blocks + srcs[None, :]
+            x_index = _block_entries(in_shape._offsets[in_blk], (dh * d) ** 2)
+            for m, tgts, _ in target.size_classes:
+                out_blk = in_blk[:, :, None] * target.num_blocks + tgts[None, None, :]
+                # batch axes of the products are hbtCxr and hbtCv, v = (x, r)
+                size = dict(h=heads.size, b=srcs.size, t=tgts.size, C=dh, x=d, r=m, v=d * m)
+                classes.append(_StepClass(
+                    x_index=x_index,
+                    x_shape=(heads.size, srcs.size, dh, d, dh, d),
+                    a1_shape=_batch(size, "hbtCxr", "hbCx") + (dh, d),
+                    a2_shape=_batch(size, "hbtCv", "hbC") + (dh * d, d),
+                    u1=u_range(srcs, tgts, "btrywz"),
+                    u1_shape=_batch(size, "hbtCxr", "btr") + (d, d * m),
+                    u2=u_range(srcs, tgts, "btyrwz"),
+                    u2_shape=_batch(size, "hbtCv", "btv") + (d, m),
+                    out_index=_block_entries(out_shape._offsets[out_blk], (dh * d * m) ** 2),
+                    out_shape=_batch(size, "hbtCxr", "hbtCxr") + (dh, d * m),
+                ))
+    u_rows, u_cols = (_read_only(np.concatenate(part)) for part in zip(*u_parts))
+    return _StepPlan(out_factors, out_shape, u_rows, u_cols, tuple(classes))
 
 
 def bloom_step(x: FactoredElement, e: LinearOperatorMap) -> FactoredElement:
@@ -69,31 +166,27 @@ def bloom_step(x: FactoredElement, e: LinearOperatorMap) -> FactoredElement:
         raise ValueError(
             f"map source {e.source} does not match last factor {x.factors[-1]}"
         )
-    out_factors = x.factors + (e.target,)
-    out_shape = product_shape(out_factors)
-    n_tgt = e.target.num_blocks
-    out_blocks: list[np.ndarray | None] = [None] * out_shape.num_blocks
-
-    for flat, tup in x.block_tuples():
-        dims = [x.factors[i].blocks[b] for i, b in enumerate(tup)]
-        d = dims[-1]
-        d_head = int(np.prod(dims[:-1], dtype=np.int64)) if len(dims) > 1 else 1
-        x4 = x.element.blocks[flat].reshape(d_head, d, d_head, d)
-        for beta in range(n_tgt):
-            m = e.target.blocks[beta]
-            t4 = _unit_action_tensor(e, tup[-1], beta)
-            # half the anti-commutator with the swap, fused with the channel:
-            # rows (C, x, r), cols (D, w, z); the traced legs collapse to a
-            # single contraction over the last-factor index
-            term1 = np.einsum("CxDy,wyrz->CxrDwz", x4, t4)
-            term2 = np.einsum("CyDw,yxrz->CxrDwz", x4, t4)
-            dm = d_head * d * m
-            out_blocks[flat * n_tgt + beta] = (
-                0.5 * (term1 + term2).reshape(dm, dm)
-            )
-
-    elem = AlgebraElement(out_shape, out_blocks)
-    return FactoredElement(out_factors, elem)
+    plan = _step_plan(x.factors, e.target)
+    vec = x.element.to_hs()
+    # u[b, t, w, y, r, z]: entry (r, z) of e applied to the unit E_wy of
+    # source block b, in target block t; halved for the anti-commutator
+    u = 0.5 * e.matrix[plan.u_rows, plan.u_cols]
+    out = np.empty(plan.shape.total_dim, dtype=complex)
+    for c in plan.classes:
+        xs = vec[c.x_index].reshape(c.x_shape)
+        # half the anti-commutator with the swap, fused with the channel:
+        # rows (C, x, r), cols (D, w, z); the traced legs collapse to a single
+        # contraction over the last-factor index y,
+        # sum_y X[C,x,D,y] u[w,y,r,z] + sum_y X[C,y,D,w] u[y,x,r,z]
+        in_place = isinstance(c.out_index, slice)
+        term = out[c.out_index].reshape(c.out_shape) if in_place else np.empty(c.out_shape, complex)
+        np.matmul(xs.reshape(c.a1_shape), u[c.u1].reshape(c.u1_shape), out=term)
+        term += np.matmul(
+            xs.transpose(0, 1, 2, 4, 5, 3).reshape(c.a2_shape), u[c.u2].reshape(c.u2_shape)
+        ).reshape(c.out_shape)
+        if not in_place:
+            out[c.out_index] = term.reshape(-1)
+    return FactoredElement(plan.factors, _element(plan.shape, out))
 
 
 def bloom_apply(chain: Chain, rho: AlgebraElement) -> FactoredElement:

@@ -85,3 +85,65 @@ def random_nontrivial_iso(shape: q.AlgebraShape, rng: np.random.Generator) -> q.
 def stochastic_of(channel: q.LinearOperatorMap) -> np.ndarray:
     """Read a classical channel's stochastic matrix back from its coordinates."""
     return channel.matrix.real.copy()
+
+
+# ---------------------------------------------------------------------------
+# per-block reference kernels: oracles for the batched ones in qsot
+# ---------------------------------------------------------------------------
+
+
+def _unit_action_tensor(e: q.LinearOperatorMap, src_block: int, tgt_block: int) -> np.ndarray:
+    """T[b, a, r, c] = (e applied to the unit E_ba of src_block)[r, c] in tgt_block."""
+    d = e.source.blocks[src_block]
+    m = e.target.blocks[tgt_block]
+    sub = e.matrix[e.target.hs_slice(tgt_block), e.source.hs_slice(src_block)]
+    return sub.reshape(m, m, d, d).transpose(2, 3, 0, 1)
+
+
+def reference_bloom_step(x: q.FactoredElement, e: q.LinearOperatorMap) -> q.FactoredElement:
+    """:func:`qsot.bloom_step`, one einsum pair per (input block, target block)."""
+    if e.source != x.factors[-1]:
+        raise ValueError("map source does not match the last factor")
+    out_factors = x.factors + (e.target,)
+    out_shape = q.product_shape(out_factors)
+    n_tgt = e.target.num_blocks
+    out_blocks = [None] * out_shape.num_blocks
+    for flat, tup in x.block_tuples():
+        dims = [x.factors[i].blocks[b] for i, b in enumerate(tup)]
+        d = dims[-1]
+        d_head = int(np.prod(dims[:-1], dtype=np.int64)) if len(dims) > 1 else 1
+        x4 = x.element.blocks[flat].reshape(d_head, d, d_head, d)
+        for beta in range(n_tgt):
+            m = e.target.blocks[beta]
+            t4 = _unit_action_tensor(e, tup[-1], beta)
+            term1 = np.einsum("CxDy,wyrz->CxrDwz", x4, t4)
+            term2 = np.einsum("CyDw,yxrz->CxrDwz", x4, t4)
+            dm = d_head * d * m
+            out_blocks[flat * n_tgt + beta] = 0.5 * (term1 + term2).reshape(dm, dm)
+    return q.FactoredElement(out_factors, q.AlgebraElement(out_shape, out_blocks))
+
+
+def reference_partial_trace(x: q.FactoredElement, keep) -> q.FactoredElement:
+    """:func:`qsot.partial_trace`, one einsum per block tuple."""
+    keep = sorted(set(keep))
+    n = x.num_factors
+    if len(keep) == n:
+        return x
+    kept_factors = [x.factors[i] for i in keep]
+    out_shape = q.product_shape(kept_factors)
+    out_blocks = [np.zeros((d, d), dtype=complex) for d in out_shape.blocks]
+    kept_radix = [f.num_blocks for f in kept_factors]
+    for _, tup in x.block_tuples():
+        dims = [x.factors[i].blocks[b] for i, b in enumerate(tup)]
+        block = x.tuple_block(tup).reshape(dims + dims)
+        # traced legs share an index with their column partner, kept legs stay free
+        row_idx = list(range(n))
+        col_idx = [i if i not in keep else n + i for i in range(n)]
+        out_idx = list(keep) + [n + i for i in keep]
+        reduced = np.einsum(block, row_idx + col_idx, out_idx)
+        d_kept = int(np.prod([dims[i] for i in keep]))
+        out_flat = 0
+        for r, i in zip(kept_radix, keep):
+            out_flat = out_flat * r + tup[i]
+        out_blocks[out_flat] += reduced.reshape(d_kept, d_kept)
+    return q.FactoredElement(kept_factors, q.AlgebraElement(out_shape, out_blocks))
